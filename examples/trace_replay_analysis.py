@@ -35,13 +35,10 @@ def ascii_map(town, trajectories: dict[str, list[tuple[float, float]]],
         r = int((ymax - y) / (ymax - ymin) * (rows - 1))
         return min(max(r, 0), rows - 1), min(max(c, 0), cols - 1)
 
-    # Background: road layout sampled on the grid.
+    # Background: road layout sampled on the grid, flipped so north is up.
     xs = np.linspace(xmin, xmax, cols)
-    ys = np.linspace(ymax, ymin, rows)
-    gx, gy = np.meshgrid(xs, ys)
-    classes = town.classify_points(
-        np.column_stack([gx.ravel(), gy.ravel()])
-    ).reshape(rows, cols)
+    ys = np.linspace(ymin, ymax, rows)
+    classes = town.classify_grid(xs, ys)[::-1]
     grid = np.full((rows, cols), " ", dtype="<U1")
     grid[classes == SurfaceType.ROAD] = "."
     grid[classes == SurfaceType.CURB] = ","

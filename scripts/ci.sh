@@ -15,7 +15,11 @@
 # It also gates the episode multiplexer: batched sensing must stay
 # >= 1.5x single-episode serial per core on the dense scene, recorded in
 # benchmarks/results/BENCH_multiplex.json
-# (see benchmarks/test_bench_multiplex.py).
+# (see benchmarks/test_bench_multiplex.py).  It also gates the cold scene
+# build: the windowed TownTexture build of the default town must stay
+# >= 5x the frozen full-raster reference, interleaved in one process,
+# recorded in benchmarks/results/BENCH_scene.json
+# (see benchmarks/test_bench_scene.py).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -556,6 +556,26 @@ class Polyline:
         y = self._xy[idx, 1] + self._seg_dir[idx, 1] * t
         return Vec2(float(x), float(y))
 
+    def points_at(self, stations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`point_at` over an array of stations: ``(x, y)`` arrays.
+
+        Same clamping, segment lookup and arithmetic as the scalar form,
+        element by element, so every coordinate matches it bit for bit.
+        """
+        s = np.minimum(np.maximum(np.asarray(stations, dtype=np.float64), 0.0), self.length)
+        idx = np.minimum(np.searchsorted(self._cum, s, side="right") - 1, len(self._seg_len) - 1)
+        t = s - self._cum[idx]
+        x = self._xy[idx, 0] + self._seg_dir[idx, 0] * t
+        y = self._xy[idx, 1] + self._seg_dir[idx, 1] * t
+        return x, y
+
+    def uniform_stations(self, spacing: float) -> np.ndarray:
+        """Stations from 0 to :attr:`length` at approximately ``spacing`` metres."""
+        if spacing <= 0:
+            raise ValueError("spacing must be positive")
+        n = max(2, int(math.ceil(self.length / spacing)) + 1)
+        return np.linspace(0.0, self.length, n)
+
     def heading_at(self, station: float) -> float:
         """Tangent heading at arc length ``station``."""
         s = min(max(station, 0.0), self.length - 1e-9)
@@ -592,11 +612,8 @@ class Polyline:
 
     def resampled(self, spacing: float) -> "Polyline":
         """A copy resampled at approximately uniform ``spacing`` metres."""
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        n = max(2, int(math.ceil(self.length / spacing)) + 1)
-        stations = np.linspace(0.0, self.length, n)
-        return Polyline([self.point_at(float(s)) for s in stations])
+        x, y = self.points_at(self.uniform_stations(spacing))
+        return Polyline([Vec2(px, py) for px, py in zip(x.tolist(), y.tolist())])
 
     def offset(self, lateral: float) -> "Polyline":
         """A parallel polyline offset ``lateral`` metres to the left."""

@@ -87,9 +87,12 @@ class TownTexture:
     """Rasterised ground-truth texture of a town.
 
     Built once per town at ``resolution`` metres per texel: surface classes
-    are colour-mapped, then lane markings and building footprints are
-    stamped on top.  Sampling is a clipped nearest-neighbour lookup,
-    vectorised over pixel batches.
+    come from :meth:`Town.classify_grid`, which evaluates each road and
+    junction only inside its own texel window, and are colour-mapped
+    through a lookup table; then lane markings (one boolean mask per
+    stripe) and building footprints are stamped on top.  The cost follows
+    the roads and stripes, not the raster area.  Sampling is a clipped
+    nearest-neighbour lookup, vectorised over pixel batches.
     """
 
     def __init__(self, town: Town, resolution: float = 0.25, margin: float = 12.0):
@@ -103,12 +106,11 @@ class TownTexture:
         self.ny = int(math.ceil((ymax - ymin + 2 * margin) / resolution))
         xs = self.x0 + (np.arange(self.nx) + 0.5) * resolution
         ys = self.y0 + (np.arange(self.ny) + 0.5) * resolution
-        gx, gy = np.meshgrid(xs, ys)  # shape (ny, nx)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        classes = town.classify_points(pts).reshape(self.ny, self.nx)
-        tex = np.zeros((self.ny, self.nx, 3), dtype=np.uint8)
+        classes = town.classify_grid(xs, ys)
+        palette = np.zeros((max(SURFACE_COLORS) + 1, 3), dtype=np.uint8)
         for cls, color in SURFACE_COLORS.items():
-            tex[classes == cls] = color
+            palette[cls] = color
+        tex = np.take(palette, classes, axis=0)
         self._stamp_markings(tex, town)
         self._stamp_buildings(tex, town.buildings)
         self.texture = tex
@@ -132,25 +134,32 @@ class TownTexture:
         self._inv_res = 1.0 / resolution if math.frexp(resolution)[0] == 0.5 else None
 
     def _stamp_markings(self, tex: np.ndarray, town: Town) -> None:
+        """Paint each stripe, in order, as one mask over its texel box.
+
+        The stripe is sampled every 0.75 texel; each sample covers the
+        square ``[row - h + 1, row + h) x [col - h + 1, col + h)`` around
+        its truncated texel index, clipped to the raster.
+        """
         for stripe in town.markings():
-            pts = stripe.polyline.resampled(self.resolution * 0.75).points
-            half_w_tex = max(1, int(round(stripe.width / 2.0 / self.resolution)))
-            dash_period = 6.0  # metres: 3 on, 3 off
-            dist = 0.0
-            prev = pts[0]
-            for p in pts:
-                dist += p.distance_to(prev)
-                prev = p
-                if stripe.dashed and (dist % dash_period) > dash_period / 2.0:
-                    continue
-                row = int((p.y - self.y0) / self.resolution)
-                col = int((p.x - self.x0) / self.resolution)
-                r0 = max(0, row - half_w_tex + 1)
-                r1 = min(self.ny, row + half_w_tex)
-                c0 = max(0, col - half_w_tex + 1)
-                c1 = min(self.nx, col + half_w_tex)
-                if r0 < r1 and c0 < c1:
-                    tex[r0:r1, c0:c1] = stripe.color
+            line = stripe.polyline
+            x, y = line.points_at(line.uniform_stations(self.resolution * 0.75))
+            h = max(1, int(round(stripe.width / 2.0 / self.resolution)))
+            # astype(int64) truncates toward zero, exactly like int().
+            rows = ((y - self.y0) / self.resolution).astype(np.int64)
+            cols = ((x - self.x0) / self.resolution).astype(np.int64)
+            rr = rows - rows.min()
+            cc = cols - cols.min()
+            r_lo = int(rows.min()) - h + 1
+            c_lo = int(cols.min()) - h + 1
+            mask = np.zeros((int(rr.max()) + 2 * h - 1, int(cc.max()) + 2 * h - 1), dtype=bool)
+            for dr in range(2 * h - 1):
+                for dc in range(2 * h - 1):
+                    mask[rr + dr, cc + dc] = True
+            r0, r1 = max(0, r_lo), min(self.ny, r_lo + mask.shape[0])
+            c0, c1 = max(0, c_lo), min(self.nx, c_lo + mask.shape[1])
+            if r0 < r1 and c0 < c1:
+                sub = mask[r0 - r_lo : r1 - r_lo, c0 - c_lo : c1 - c_lo]
+                tex[r0:r1, c0:c1][sub] = stripe.color
 
     def _stamp_buildings(self, tex: np.ndarray, buildings: list[Building]) -> None:
         for b in buildings:

@@ -10,8 +10,10 @@ queries every other subsystem needs:
   signed lateral offset (:meth:`Town.locate`), used by the violation
   detectors and the expert autopilot;
 * *surface classification* — vectorised road/curb/off-road labelling of
-  point batches (:meth:`Town.classify_points`), used by the renderer to
-  rasterise the ground texture;
+  point batches (:meth:`Town.classify_points`) and of whole texel grids
+  (:meth:`Town.classify_grid`, which evaluates each road and junction only
+  inside its own window), the latter used by the renderer to rasterise
+  the ground texture;
 * *routing* — the directed lane graph (:meth:`Town.route_edges`) plus
   smooth intersection connector curves
   (:meth:`Town.connection_curve`), used by the route planner;
@@ -79,14 +81,12 @@ class MarkingStripe:
     """A painted lane marking, used by the renderer.
 
     ``polyline`` runs along the stripe centre; ``width`` is the painted
-    width in metres.  ``dashed`` stripes are drawn with a 3 m on / 3 m off
-    pattern.  ``color`` is an RGB triple in 0..255.
+    width in metres.  ``color`` is an RGB triple in 0..255.
     """
 
     polyline: Polyline
     width: float
     color: tuple[int, int, int]
-    dashed: bool = False
 
 
 @dataclass(frozen=True)
@@ -487,6 +487,59 @@ class Town:
         out[road] = int(SurfaceType.ROAD)
         return out
 
+    def classify_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`classify_points` over the grid ``xs`` x ``ys``, windowed.
+
+        ``xs`` and ``ys`` are strictly increasing coordinates (texel
+        centres); the result has shape ``(len(ys), len(xs))`` and equals
+        ``classify_points`` over their meshgrid.  Each road and junction
+        evaluates the same expressions on the same coordinates, but only
+        inside its window: the axis-aligned bounding box of its curb
+        rectangle, at any heading, padded by one grid step on every side
+        so rounding at the boundary cannot leave a match outside it.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if np.any(np.diff(xs) <= 0.0) or np.any(np.diff(ys) <= 0.0):
+            raise ValueError("grid coordinates must be strictly increasing")
+        curb = np.zeros((len(ys), len(xs)), dtype=bool)
+        road = np.zeros((len(ys), len(xs)), dtype=bool)
+        sw = self.sidewalk_width
+
+        def window(lo: float, hi: float, axis: np.ndarray) -> slice:
+            i = max(0, int(np.searchsorted(axis, lo, side="left")) - 1)
+            j = min(len(axis), int(np.searchsorted(axis, hi, side="right")) + 1)
+            return slice(i, j)
+
+        for r in self.roads.values():
+            start = r.centerline.points[0]
+            c, s = math.cos(r.heading), math.sin(r.heading)
+            reach = r.half_width + max(sw, 0.0)
+            # Corners of the curb rectangle lx in [0, length], |ly| <= reach.
+            cx = [start.x + lx * c - ly * s for lx in (0.0, r.length) for ly in (-reach, reach)]
+            cy = [start.y + lx * s + ly * c for lx in (0.0, r.length) for ly in (-reach, reach)]
+            rows = window(min(cy), max(cy), ys)
+            cols = window(min(cx), max(cx), xs)
+            dx = xs[cols][None, :] - start.x
+            dy = ys[rows][:, None] - start.y
+            lx = dx * c + dy * s
+            ly = -dx * s + dy * c
+            along = (lx >= 0.0) & (lx <= r.length)
+            road[rows, cols] |= along & (np.abs(ly) <= r.half_width)
+            curb[rows, cols] |= along & (np.abs(ly) <= r.half_width + sw)
+        for inter in self.intersections.values():
+            reach = inter.half_size + max(sw, 0.0)
+            rows = window(inter.center.y - reach, inter.center.y + reach, ys)
+            cols = window(inter.center.x - reach, inter.center.x + reach, xs)
+            dx = np.abs(xs[cols][None, :] - inter.center.x)
+            dy = np.abs(ys[rows][:, None] - inter.center.y)
+            road[rows, cols] |= (dx <= inter.half_size) & (dy <= inter.half_size)
+            curb[rows, cols] |= (dx <= inter.half_size + sw) & (dy <= inter.half_size + sw)
+        out = np.zeros(curb.shape, dtype=np.uint8)
+        out[curb] = int(SurfaceType.CURB)
+        out[road] = int(SurfaceType.ROAD)
+        return out
+
     def _surface_params(self):
         """Flattened per-road / per-intersection scalars for point queries.
 
@@ -710,10 +763,10 @@ class Town:
         stripes: list[MarkingStripe] = []
         for road in self.roads.values():
             cl = road.centerline
-            stripes.append(MarkingStripe(cl, 0.30, (200, 180, 40), dashed=False))
+            stripes.append(MarkingStripe(cl, 0.30, (200, 180, 40)))
             for side in (+1, -1):
                 edge = cl.offset(side * (road.half_width - 0.15))
-                stripes.append(MarkingStripe(edge, 0.20, (230, 230, 230), dashed=False))
+                stripes.append(MarkingStripe(edge, 0.20, (230, 230, 230)))
         return stripes
 
     def iter_lanes(self) -> Iterator[Lane]:

@@ -319,6 +319,31 @@ class TestPolyline:
         s, _ = pl.locate(Vec2(0, 0))
         assert 0.0 <= s <= pl.length + 1e-9
 
+    @given(
+        st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=8, unique=True),
+        st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=16),
+    )
+    @settings(max_examples=40)
+    def test_points_at_matches_point_at_bitwise(self, pts, fractions):
+        try:
+            pl = Polyline([Vec2(x, y) for x, y in pts])
+        except ValueError:
+            return
+        # Fractions outside [0, 1] exercise the clamp; vertex stations the
+        # segment lookup's right-side boundary.
+        stations = [f * pl.length for f in fractions] + [float(c) for c in pl._cum]
+        x, y = pl.points_at(np.array(stations))
+        for s, px, py in zip(stations, x.tolist(), y.tolist()):
+            p = pl.point_at(s)
+            assert (px, py) == (p.x, p.y)
+
+    def test_resampled_points_are_scalar_point_at(self):
+        pl = self.line()
+        stations = pl.uniform_stations(0.7)
+        assert [(p.x, p.y) for p in pl.resampled(0.7).points] == [
+            (q.x, q.y) for q in (pl.point_at(float(s)) for s in stations)
+        ]
+
 
 class TestBatchRayHits:
     """The batched LIDAR slab test against the scalar reference.
