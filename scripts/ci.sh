@@ -19,7 +19,12 @@
 # build: the windowed TownTexture build of the default town must stay
 # >= 5x the frozen full-raster reference, interleaved in one process,
 # recorded in benchmarks/results/BENCH_scene.json
-# (see benchmarks/test_bench_scene.py).
+# (see benchmarks/test_bench_scene.py).  It also gates IL-CNN inference:
+# preprocess + forward must stay >= 1.3x the frozen reference
+# (tests/agent/ilcnn_reference.py) at one sample per forward and >= 1.8x
+# per sample at four, interleaved in one process with every output row
+# checked byte-equal, recorded in benchmarks/results/BENCH_ilcnn.json
+# (see benchmarks/test_bench_ilcnn.py).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,26 +84,43 @@ python examples/distributed_queue_campaign.py --workers 2 --runs 2
 echo "== smoke: multiplexed-vs-serial byte-identity =="
 # The multiplexed backend's headline guarantee: a mixed-weather campaign
 # run with episodes interleaved at tick granularity (batched sensing,
-# slot of 4) must produce byte-identical records to the serial run.
+# slot of 4) must produce byte-identical records to the serial run.  The
+# IL-CNN campaign (seeded, untrained weights) also runs the batched
+# forward pass: one forward per model per tick across the slot.
 python - <<'PY'
-from repro.agent import autopilot_agent_factory
+from repro.agent import autopilot_agent_factory, nn_agent_factory
+from repro.agent.ilcnn import ILCNN, ILCNNConfig
 from repro.core import ParallelCampaignRunner, standard_scenarios
 from repro.core.faults import GaussianNoise, OutputDelay
 
-scenarios = standard_scenarios(4, seed=23, n_npc_vehicles=2, n_pedestrians=1)
-injectors = {"none": [], "compound": [GaussianNoise(0.1), OutputDelay(3)]}
+def check(name, scenarios, factory, injectors):
+    def run(executor, slot):
+        return ParallelCampaignRunner(
+            scenarios, factory, injectors,
+            executor=executor, episodes_per_slot=slot,
+        ).run().records
 
-def run(executor, slot):
-    return ParallelCampaignRunner(
-        scenarios, autopilot_agent_factory(), injectors,
-        executor=executor, episodes_per_slot=slot,
-    ).run().records
+    serial = run("serial", 1)
+    mux = run("multiplexed", 4)
+    assert [r.to_dict() for r in serial] == [r.to_dict() for r in mux], \
+        f"{name}: multiplexed records diverged from serial"
+    print(f"{name}: multiplexed == serial over {len(serial)} episodes")
 
-serial = run("serial", 1)
-mux = run("multiplexed", 4)
-assert [r.to_dict() for r in serial] == [r.to_dict() for r in mux], \
-    "multiplexed records diverged from serial"
-print(f"multiplexed == serial over {len(serial)} episodes")
+check(
+    "autopilot",
+    standard_scenarios(4, seed=23, n_npc_vehicles=2, n_pedestrians=1),
+    autopilot_agent_factory(),
+    {"none": [], "compound": [GaussianNoise(0.1), OutputDelay(3)]},
+)
+check(
+    "il-cnn",
+    standard_scenarios(
+        3, seed=23, n_npc_vehicles=2, n_pedestrians=1,
+        min_distance=40, max_distance=80,
+    ),
+    nn_agent_factory(ILCNN(ILCNNConfig(seed=2))),
+    {"none": [], "gaussian": [GaussianNoise(0.1)], "output-delay": [OutputDelay(3)]},
+)
 PY
 
 echo "== smoke: self-healing chaos campaign (quarantine + byte-identity) =="
@@ -141,9 +163,11 @@ if [[ "${1:-}" == "--slow" ]]; then
     echo "== slow tier: benchmarks (incl. sensor pipeline + multiplex gates) =="
     # The multiplex gate (benchmarks/test_bench_multiplex.py) fails the
     # tier if batched sensing drops below 1.5x single-episode serial per
-    # core on the dense scene, and records BENCH_multiplex.json.
+    # core on the dense scene, and records BENCH_multiplex.json; the
+    # IL-CNN inference gate records BENCH_ilcnn.json.
     python -m pytest -x -q -m slow
     test -s benchmarks/results/BENCH_multiplex.json
+    test -s benchmarks/results/BENCH_ilcnn.json
     echo "== bench results =="
     ls -l benchmarks/results/
 fi

@@ -24,7 +24,8 @@ configurations apart (see
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,11 +37,12 @@ from ..sim.sensors import SensorFrame
 from ..sim.town import Town
 from ..sim.world import World
 from .autopilot import Expert, ExpertConfig
-from .ilcnn import ILCNN
+from .ilcnn import ILCNN, preprocess_image
 from .planner import PlanningError, Route, RoutePlanner
 
 __all__ = [
     "NNAgent",
+    "NNObservation",
     "AutopilotAgent",
     "AgentFactory",
     "NNAgentFactory",
@@ -55,6 +57,21 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class NNObservation:
+    """What :meth:`NNAgent.observe` reads off one sensor bundle.
+
+    ``image``, ``speed`` and ``command`` are one row of the network's
+    input; ``image`` is ``None`` when the GPS fix is unusable, in which
+    case the model does not run and the agent coasts.
+    """
+
+    gps: Vec2
+    image: np.ndarray | None
+    speed: float
+    command: int
+
+
 class NNAgent:
     """Camera-driven conditional imitation-learning agent.
 
@@ -62,6 +79,11 @@ class NNAgent:
     :class:`~repro.sim.sensors.SensorFrame` — exactly the boundary AVFI's
     input fault injectors corrupt.  The agent replans from GPS if it drifts
     off its route (a real ADA's behaviour under perturbation).
+
+    ``step`` is :meth:`observe`, :meth:`predict` (the model's forward
+    pass) and :meth:`act`.  The episode multiplexer calls the three
+    apart, so it can score the observations of every live episode that
+    shares a model in one forward pass.
     """
 
     def __init__(self, model: ILCNN, town: Town, replan_tolerance: float = 10.0):
@@ -81,29 +103,63 @@ class NNAgent:
         )
         self.replans = 0
 
-    def _maybe_replan(self, position: Vec2, heading: float) -> None:
-        assert self.route is not None and self.mission is not None
-        if not self.route.off_route(position, self.replan_tolerance):
-            return
+    def _replan(self, position: Vec2, heading: float) -> bool:
+        """Plan afresh from ``position``; whether the route changed."""
+        assert self.mission is not None
         try:
             self.route = self.planner.plan(position, self.mission.goal, start_yaw=heading)
-            self.replans += 1
         except PlanningError:
             # Keep the stale route; better than stopping dead.
-            pass
+            return False
+        self.replans += 1
+        return True
 
-    def step(self, frame: SensorFrame) -> VehicleControl:
-        """One control step from one sensor bundle."""
+    def observe(self, frame: SensorFrame) -> NNObservation:
+        """Replan if off route, then read the network input off ``frame``."""
         if self.route is None or self.mission is None:
             raise RuntimeError("agent.step before reset")
         gps = Vec2(float(frame.gps[0]), float(frame.gps[1]))
         if not (np.isfinite(gps.x) and np.isfinite(gps.y)):
+            # GPS corrupted beyond use: act will coast.
+            return NNObservation(gps, None, 0.0, 0)
+        # Locate once; only a new route needs locating again.
+        station, lateral = self.route.locate(gps)
+        if abs(lateral) > self.replan_tolerance and self._replan(gps, frame.heading):
+            station, _ = self.route.locate(gps)
+        command = self.route.command_at_station(station)
+        image = preprocess_image(frame.image, self.model.config.input_hw)
+        return NNObservation(gps, image, frame.speed, int(command))
+
+    def predict(self, observations: Sequence[NNObservation]) -> list[np.ndarray | None]:
+        """Score every observation that carries an image in one forward pass.
+
+        Entry ``i`` is the raw ``[steer, throttle, brake]`` row for
+        ``observations[i]``, or ``None`` if it carries no image.  The
+        observations may come from any agents sharing this agent's model:
+        in inference mode each row is bitwise what a batch of one gives
+        (see :meth:`ILCNN.forward`), so scoring them together changes no
+        byte of what any of those agents does.
+        """
+        scored = [o for o in observations if o.image is not None]
+        if not scored:
+            return [None] * len(observations)
+        rows = iter(
+            self.model.forward(
+                np.stack([o.image for o in scored]),
+                np.array([o.speed for o in scored]),
+                np.array([o.command for o in scored]),
+            )
+        )
+        return [None if o.image is None else next(rows) for o in observations]
+
+    def act(self, observation: NNObservation, raw: np.ndarray | None) -> VehicleControl:
+        """The control for ``observation`` given the network's ``raw``
+        ``[steer, throttle, brake]`` for it (``None`` when it has no image)."""
+        assert self.mission is not None
+        if observation.image is None:
             # GPS corrupted beyond use: hold the wheel straight and coast.
             return VehicleControl(steer=0.0, throttle=0.0, brake=0.3)
-        self._maybe_replan(gps, frame.heading)
-        command = self.route.command_at(gps)
-        steer, throttle, brake = self.model.predict_one(frame.image, frame.speed, command)
-
+        steer, throttle, brake = raw
         steer = float(np.clip(steer, -1.0, 1.0))
         throttle = float(np.clip(throttle, 0.0, 1.0))
         brake = float(np.clip(brake, 0.0, 1.0))
@@ -115,9 +171,14 @@ class NNAgent:
             brake = 0.0
         elif brake > 0.0:
             throttle = 0.0
-        if gps.distance_to(self.mission.goal) < self.mission.success_radius:
+        if observation.gps.distance_to(self.mission.goal) < self.mission.success_radius:
             return VehicleControl(steer=steer, brake=1.0)
         return VehicleControl(steer=steer, throttle=throttle, brake=brake)
+
+    def step(self, frame: SensorFrame) -> VehicleControl:
+        """One control step from one sensor bundle."""
+        observation = self.observe(frame)
+        return self.act(observation, self.predict([observation])[0])
 
 
 class AutopilotAgent:
@@ -180,6 +241,10 @@ class NNAgentFactory:
     A plain callable class (not a closure) so campaigns can be pickled to
     parallel worker processes; each worker then builds agents from its own
     copy of the model.
+
+    Every agent it builds drives the model in inference mode.  Dropout in
+    training mode would draw from one RNG shared by every episode, so an
+    episode's records would depend on which other episodes ran first.
     """
 
     def __init__(self, model: ILCNN, replan_tolerance: float = 10.0):
@@ -187,6 +252,7 @@ class NNAgentFactory:
         self.replan_tolerance = replan_tolerance
 
     def __call__(self, handles: EpisodeHandles, mission: Mission) -> NNAgent:
+        self.model.set_training(False)
         agent = NNAgent(self.model, handles.town, self.replan_tolerance)
         agent.reset(mission)
         return agent
@@ -302,5 +368,4 @@ def _build_nn_factory(
         from .training import get_or_train_default_model  # deferred: heavy
 
         model = get_or_train_default_model()
-    model.set_training(False)
     return NNAgentFactory(model, replan_tolerance)

@@ -61,17 +61,17 @@ class Expert:
         return self.route.command_at(self.world.ego.position)
 
     # ------------------------------------------------------------------
-    def _steer(self) -> float:
+    def _steer(self, station: float, command: Command) -> float:
         ego = self.world.ego
         assert ego is not None
         cfg = self.config
         speed = max(ego.speed(), 0.0)
         lookahead = min(max(cfg.lookahead_base + cfg.lookahead_gain * speed, 3.0), 9.0)
-        if self.current_command() != Command.FOLLOW:
+        if command != Command.FOLLOW:
             # Short lookahead through junctions: pure pursuit cuts corners
             # when it aims past the connector curve.
             lookahead = min(lookahead, 4.5)
-        target = self.route.target_point(ego.position, lookahead)
+        target = self.route.polyline.point_at(station + lookahead)
         local = ego.transform.to_local(target)
         dist_sq = max(local.norm_sq(), 1e-6)
         curvature = 2.0 * local.y / dist_sq
@@ -112,15 +112,12 @@ class Expert:
                     return 0.0
         return cap
 
-    def _target_speed(self) -> float:
-        ego = self.world.ego
-        assert ego is not None
+    def _target_speed(self, station: float, command: Command) -> float:
         cfg = self.config
-        command = self.current_command()
         target = cfg.cruise_speed if command == Command.FOLLOW else cfg.turn_speed
         target *= self.world.weather.friction
 
-        remaining = self.route.distance_remaining(ego.position)
+        remaining = max(0.0, self.route.length - station)
         if remaining < cfg.goal_slow_radius:
             target = min(target, max(1.2, remaining * 0.5))
 
@@ -135,8 +132,11 @@ class Expert:
         ego = self.world.ego
         assert ego is not None
         cfg = self.config
-        steer = self._steer()
-        target = self._target_speed()
+        # Locate the ego on the route once; steering and speed share it.
+        station, _ = self.route.locate(ego.position)
+        command = self.route.command_at_station(station)
+        steer = self._steer(station, command)
+        target = self._target_speed(station, command)
         error = target - ego.speed()
 
         if target <= 0.05:

@@ -64,12 +64,21 @@ def preprocess_image(image: np.ndarray, input_hw: tuple[int, int]) -> np.ndarray
             f"camera size {h_in}x{w_in} is not an integer multiple of network input {h_out}x{w_out}"
         )
     fy, fx = h_in // h_out, w_in // w_out
-    x = image.astype(np.float32) / 255.0
-    x = x.reshape(h_out, fy, w_out, fx, 3).mean(axis=(1, 3))
+    planes = image.transpose(2, 0, 1).astype(np.float32, order="C")  # a copy
+    planes /= 255.0
+    blocks = planes.reshape(3, h_out, fy, w_out, fx)
+    # Add the fy*fx sub-images to zero in row-major order, then divide by
+    # the count as an intp: the very additions and division ``mean``
+    # makes, without its strided reduction.
+    x = np.zeros((3, h_out, w_out), dtype=np.float32)
+    for ky in range(fy):
+        for kx in range(fx):
+            x += blocks[:, :, ky, :, kx]
+    np.true_divide(x, np.intp(fy * fx), out=x, casting="unsafe")
     # Corrupted frames (bit-flipped payloads) may carry NaN/inf; the network
     # must receive finite numbers even if they are garbage.
     np.nan_to_num(x, copy=False, nan=0.0, posinf=1.0, neginf=0.0)
-    return np.ascontiguousarray(x.transpose(2, 0, 1))
+    return x
 
 
 class ILCNN:
@@ -125,6 +134,13 @@ class ILCNN:
         ``images``: (N, 3, h, w) float32; ``speeds``: (N,) or (N, 1) m/s;
         ``commands``: (N,) ints in [0, n_branches).  Returns (N, 3) raw
         ``[steer, throttle, brake]`` predictions.
+
+        In inference mode (``set_training(False)``) the rows are
+        batch-invariant: row ``i`` is bitwise equal to the output of a
+        forward over sample ``i`` alone, whatever N and the other samples
+        are, because every convolution and dense layer then multiplies
+        each sample on its own.  Training mode multiplies whole batches,
+        whose rows may differ from single-sample ones in the last bits.
         """
         n = images.shape[0]
         speeds = np.asarray(speeds, dtype=np.float32).reshape(n, 1) / SPEED_SCALE

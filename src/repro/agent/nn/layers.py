@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .tensorlib import col2im, conv_output_size, he_init, im2col, xavier_init
+from .tensorlib import col2im, conv_output_size, he_init, im2col, unfold, xavier_init
 
 __all__ = [
     "Param",
@@ -98,7 +98,12 @@ class Module:
 
 
 class Dense(Module):
-    """Fully connected layer ``y = x W + b``."""
+    """Fully connected layer ``y = x W + b``.
+
+    Training multiplies the whole batch in one GEMM.  Inference
+    (``training`` false) multiplies each sample on its own, so the output
+    rows do not depend on how many samples share the batch.
+    """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
@@ -112,7 +117,12 @@ class Dense(Module):
         if x.shape[-1] != self.in_features:
             raise ValueError(f"Dense expected {self.in_features} features, got {x.shape[-1]}")
         self._x = x
-        return x @ self.W.data + self.b.data
+        if self.training:
+            return x @ self.W.data + self.b.data
+        # One (1, K) @ (K, M) product per sample: BLAS then takes the
+        # same path whatever the batch size, so every output row is
+        # bitwise what a batch of one gives.
+        return (x[..., None, :] @ self.W.data)[..., 0, :] + self.b.data
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward before forward"
@@ -125,7 +135,13 @@ class Dense(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution over ``(N, C, H, W)`` tensors via im2col."""
+    """2-D convolution over ``(N, C, H, W)`` tensors via im2col.
+
+    Training multiplies the im2col rows of the whole batch in one GEMM.
+    Inference multiplies each sample's rows on its own, laid out as the
+    GEMM of a batch of one lays them out, so output rows do not depend on
+    the batch size (see :func:`~repro.agent.nn.tensorlib.im2col`).
+    """
 
     def __init__(
         self,
@@ -163,7 +179,14 @@ class Conv2d(Module):
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
         n = x.shape[0]
-        cols, out_h, out_w = im2col(x, self.kernel, self.kernel, self.stride, self.pad)
+        k = self.kernel
+        if self.training:
+            cols, out_h, out_w = im2col(x, k, k, self.stride, self.pad)
+        else:
+            # (N, P, K) per-sample views, each laid out as im2col lays
+            # out a batch of one: the product is one GEMM per sample.
+            patches, out_h, out_w = unfold(x, k, k, self.stride, self.pad)
+            cols = patches.transpose(0, 2, 1)
         self._cols = cols
         self._x_shape = x.shape
         out = cols @ self.W.data + self.b.data
@@ -173,7 +196,8 @@ class Conv2d(Module):
         assert self._cols is not None and self._x_shape is not None
         n, c_out, out_h, out_w = grad.shape
         g = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        self.W.grad += self._cols.T @ g
+        cols = self._cols.reshape(-1, self._cols.shape[-1])
+        self.W.grad += cols.T @ g
         self.b.grad += g.sum(axis=0)
         dcols = g @ self.W.data.T
         return col2im(dcols, self._x_shape, self.kernel, self.kernel, self.stride, self.pad)

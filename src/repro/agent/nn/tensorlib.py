@@ -1,18 +1,20 @@
 """Low-level tensor utilities for the numpy NN library.
 
-Weight initialisers plus the im2col/col2im transforms that turn 2-D
-convolution into matrix multiplication — the standard trick that makes a
-pure-numpy CNN fast enough to train on CPU.
+Weight initialisers plus the unfold/im2col/col2im transforms that turn
+2-D convolution into matrix multiplication — the standard trick that
+makes a pure-numpy CNN fast enough to train on CPU.
 
 Array layout convention throughout the library: images are ``(N, C, H, W)``
-float32; columns from :func:`im2col` are ``(N * out_h * out_w, C*kh*kw)``.
+float32; patches from :func:`unfold` are ``(N, C*kh*kw, out_h*out_w)``;
+columns from :func:`im2col` are ``(N * out_h * out_w, C*kh*kw)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["he_init", "xavier_init", "im2col", "col2im", "conv_output_size"]
+__all__ = ["he_init", "xavier_init", "unfold", "im2col", "col2im", "conv_output_size"]
 
 
 def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,6 +44,35 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+def unfold(
+    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
+) -> tuple[np.ndarray, int, int]:
+    """Per-sample patch matrices of ``x`` (``(N, C, H, W)``).
+
+    Returns ``(patches, out_h, out_w)`` where ``patches`` is the
+    C-contiguous ``(N, C*kh*kw, out_h*out_w)`` array; ``patches[i].T``
+    holds sample ``i``'s receptive fields, one per row.  The image is
+    zero-padded into a fresh buffer, and one copy gathers every entry out
+    of a strided ``(N, C, kh, kw, out_h, out_w)`` window view of it.
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kh, stride, pad)
+    out_w = conv_output_size(w, kw, stride, pad)
+    if pad:
+        img = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        img[:, :, pad : pad + h, pad : pad + w] = x
+    else:
+        img = x
+    sn, sc, sh, sw = img.strides
+    windows = as_strided(
+        img,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return windows.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+
+
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, int, int]:
@@ -49,19 +80,13 @@ def im2col(
 
     ``x`` is ``(N, C, H, W)``.  Returns ``(cols, out_h, out_w)`` where
     ``cols`` is ``(N*out_h*out_w, C*kh*kw)`` — each row one receptive field.
+    For N = 1 ``cols`` is a transposed (Fortran-ordered) view of the
+    patch matrix, for N > 1 a C-ordered copy; BLAS may round products of
+    the two layouts differently, so this layout is part of the numerics.
     """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
-    img = np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)], mode="constant") if pad else x
-    col = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for ky in range(kh):
-        y_max = ky + stride * out_h
-        for kx in range(kw):
-            x_max = kx + stride * out_w
-            col[:, :, ky, kx, :, :] = img[:, :, ky:y_max:stride, kx:x_max:stride]
-    cols = col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, c * kh * kw)
-    return cols, out_h, out_w
+    patches, out_h, out_w = unfold(x, kh, kw, stride, pad)
+    n, k, p = patches.shape
+    return patches.transpose(0, 2, 1).reshape(n * p, k), out_h, out_w
 
 
 def col2im(

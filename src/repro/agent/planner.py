@@ -81,6 +81,10 @@ class Route:
     def command_at(self, position: Vec2) -> Command:
         """The command in force at the route point nearest ``position``."""
         station, _ = self.polyline.locate(position)
+        return self.command_at_station(station)
+
+    def command_at_station(self, station: float) -> Command:
+        """The command in force at ``station`` metres along the route."""
         idx = int(np.searchsorted(self._stations, station, side="right") - 1)
         idx = min(max(idx, 0), len(self.commands) - 1)
         return self.commands[idx]

@@ -213,6 +213,10 @@ def _violation_to_dict(event: ViolationEvent, fps: float) -> dict:
     }
 
 
+#: :attr:`EpisodeDriver._observation` when no split client phase is open.
+_UNOBSERVED = object()
+
+
 class EpisodeDriver:
     """One episode as an explicit, externally-steppable state machine.
 
@@ -225,7 +229,9 @@ class EpisodeDriver:
     - :meth:`start` — ship the frame-0 sensor bundle;
     - :meth:`advance` — one full client/server frame (itself composed of
       :meth:`begin_frame` / :meth:`step_client` / :meth:`step_world` /
-      :meth:`sense` / :meth:`complete_frame`, each callable directly);
+      :meth:`sense` / :meth:`complete_frame`, each callable directly;
+      :meth:`observe_client` + :meth:`step_client` split the client phase
+      around the agent's forward pass);
     - :meth:`finalize` — collect harness output into the
       :class:`RunRecord` (``"running"`` → ``"finalized"``);
     - :meth:`close` — detach the harness and close the tracer
@@ -268,6 +274,7 @@ class EpisodeDriver:
         self.state = "new"
         self.success = False
         self._frames_done = 0
+        self._observation = _UNOBSERVED
         self._new_violations: list[ViolationEvent] = []
 
     # -- lifecycle ------------------------------------------------------
@@ -335,13 +342,32 @@ class EpisodeDriver:
             and self._frames_done < self.max_frames
         )
 
-    def step_client(self) -> None:
+    def observe_client(self):
+        """First half of a split client phase, for agents with ``observe``.
+
+        Receives the due bundle and returns the agent's observation of it
+        (``None`` when no bundle is due).  The caller runs the agent's
+        model on it and finishes the phase with :meth:`step_client`.
+        """
+        bundle = self.client.receive(self.world.frame + self.client_clock_skew)
+        self._observation = None if bundle is None else self.agent.observe(bundle)
+        return self._observation
+
+    def step_client(self, prediction=None) -> None:
         """Client phase: act on the freshest due sensor bundle.
 
         Polls at the client's own clock (``world.frame`` plus the skew) —
         with skew 0 this is the historical lockstep ``client.tick``.
+        After :meth:`observe_client` it instead finishes that observation:
+        the agent acts on it given ``prediction``, its model's output for
+        it, and the command is sent.
         """
-        self.client.tick(self.world.frame + self.client_clock_skew)
+        clock = self.world.frame + self.client_clock_skew
+        observation, self._observation = self._observation, _UNOBSERVED
+        if observation is _UNOBSERVED:
+            self.client.tick(clock)
+        elif observation is not None:
+            self.client.respond(self.agent.act(observation, prediction), clock)
 
     def step_world(self) -> None:
         """Server phases 1-3: apply control, tick physics, monitor."""

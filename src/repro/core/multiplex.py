@@ -10,13 +10,18 @@ the sensing phase of all live episodes through one cross-episode batched
 dispatch (:func:`~repro.sim.sensors.read_frames_batch`) — per-frame numpy
 fixed costs amortise across episodes while everything order-sensitive
 (per-episode RNG streams, paint order, channel delivery) stays exactly
-the serial computation.
+the serial computation.  The agent phase batches the same way: agents
+that split ``step`` into ``observe``/``predict``/``act`` (the IL-CNN
+agent) have the observations of every live episode sharing a model
+scored in one forward pass, whose rows are bitwise the single-episode
+ones.
 
 The hard invariant, inherited from the rest of the execution stack:
 multiplexed output is **byte-identical** to the serial path.  That holds
 because (a) every episode owns its world RNG and the drivers interleave
-whole phases, never draws; (b) the batched kernels are elementwise
-bit-identical to their per-episode counterparts; and (c) anything that
+whole phases, never draws; (b) the batched kernels (sensing and the
+inference-mode forward pass) are elementwise bit-identical to their
+per-episode counterparts; and (c) anything that
 *cannot* be safely interleaved falls back to the canonical serial
 :func:`~repro.core.runner.attempt_task` path:
 
@@ -68,6 +73,10 @@ __all__ = [
 #: dispatch without inflating peak memory (each live episode holds a full
 #: world + agent).
 DEFAULT_EPISODES_PER_SLOT = 4
+
+#: Stands in for the prediction of an episode whose batched ``predict``
+#: raised.
+_PREDICT_FAILED = object()
 
 
 def multiplex_slot_size(context: CampaignContext) -> int:
@@ -136,6 +145,52 @@ class EpisodeMultiplexer:
             config_fingerprint=task.fingerprint or None,
         )
 
+    @staticmethod
+    def _observe(
+        active: list[tuple[EpisodeTask, EpisodeDriver]],
+        broken: list[tuple[EpisodeTask, EpisodeDriver]],
+    ) -> list[tuple[EpisodeTask, EpisodeDriver, object]]:
+        """First half of the client phase, batched across episodes.
+
+        Every agent with ``observe`` observes its due bundle; the agents
+        sharing one model then score all their observations in a single
+        ``predict`` call.  Returns ``(task, driver, prediction)`` for each
+        driver still healthy, in ``active`` order (prediction ``None`` for
+        agents that only ``step``); drivers that raise join ``broken``.
+        """
+        healthy: list[tuple[EpisodeTask, EpisodeDriver]] = []
+        groups: dict[tuple[type, int], list[tuple[EpisodeDriver, object]]] = {}
+        for task, driver in active:
+            agent = driver.agent
+            if hasattr(agent, "observe"):
+                try:
+                    observation = driver.observe_client()
+                except Exception:
+                    broken.append((task, driver))
+                    continue
+                if observation is not None:
+                    key = (type(agent), id(getattr(agent, "model", None)))
+                    groups.setdefault(key, []).append((driver, observation))
+            healthy.append((task, driver))
+        predictions: dict[EpisodeDriver, object] = {}
+        for group in groups.values():
+            drivers = [driver for driver, _ in group]
+            try:
+                rows = drivers[0].agent.predict([obs for _, obs in group])
+            except Exception:
+                # No episode has acted yet, so each one re-runs serially
+                # from scratch exactly as it would have.
+                rows = [_PREDICT_FAILED] * len(drivers)
+            predictions.update(zip(drivers, rows))
+        ready: list[tuple[EpisodeTask, EpisodeDriver, object]] = []
+        for task, driver in healthy:
+            prediction = predictions.get(driver)
+            if prediction is _PREDICT_FAILED:
+                broken.append((task, driver))
+            else:
+                ready.append((task, driver, prediction))
+        return ready
+
     # -- execution ------------------------------------------------------
     def run(
         self, tasks: Sequence[EpisodeTask]
@@ -198,9 +253,9 @@ class EpisodeMultiplexer:
                 # episode's RNG draw order matches the serial loop.
                 broken: list[tuple[EpisodeTask, EpisodeDriver]] = []
                 stepped: list[tuple[EpisodeTask, EpisodeDriver]] = []
-                for task, driver in active:
+                for task, driver, prediction in self._observe(active, broken):
                     try:
-                        driver.step_client()
+                        driver.step_client(prediction)
                         driver.step_world()
                         stepped.append((task, driver))
                     except Exception:

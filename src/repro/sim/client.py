@@ -32,7 +32,11 @@ class Agent(Protocol):
     """The driving-agent interface the client drives.
 
     Implementations live in :mod:`repro.agent.agents`; anything with these
-    two methods can be campaigned.
+    two methods can be campaigned.  An agent may also split ``step`` into
+    ``observe(frame)``, ``predict(observations)`` (its model's forward
+    pass) and ``act(observation, prediction)``; the episode multiplexer
+    then scores the observations of all live episodes sharing that model
+    in one ``predict`` call (see :class:`~repro.agent.agents.NNAgent`).
     """
 
     def reset(self, mission) -> None:
@@ -58,8 +62,9 @@ class AgentClient:
         self.frames_processed = 0
         self.frames_missed = 0
 
-    def tick(self, frame: int) -> VehicleControl | None:
-        """Process any due sensor bundle; returns the command sent, if any."""
+    def receive(self, frame: int) -> SensorFrame | None:
+        """Poll for due bundles: the freshest one through the input
+        filters, or ``None`` (a missed frame) when none is due."""
         packets = self.sensor_channel.poll(frame)
         if not packets:
             self.frames_missed += 1
@@ -70,9 +75,19 @@ class AgentClient:
         bundle: SensorFrame = packet.payload
         for input_filter in self.input_filters:
             bundle = input_filter(bundle)
-        control = self.agent.step(bundle)
+        return bundle
+
+    def respond(self, control: VehicleControl, frame: int) -> VehicleControl:
+        """Run ``control`` through the output filters and send it."""
         for output_filter in self.output_filters:
             control = output_filter(control, frame)
         self.control_channel.send(Packet("control", frame, control))
         self.frames_processed += 1
         return control
+
+    def tick(self, frame: int) -> VehicleControl | None:
+        """Process any due sensor bundle; returns the command sent, if any."""
+        bundle = self.receive(frame)
+        if bundle is None:
+            return None
+        return self.respond(self.agent.step(bundle), frame)

@@ -6,7 +6,7 @@ import pytest
 from repro.agent.agents import AutopilotAgent, NNAgent, autopilot_agent_factory, nn_agent_factory
 from repro.agent.autopilot import Expert, ExpertConfig
 from repro.agent.ilcnn import ILCNN, ILCNNConfig
-from repro.agent.planner import Command, RoutePlanner
+from repro.agent.planner import Command, PlanningError, RoutePlanner
 from repro.sim.builders import SimulationBuilder
 from repro.sim.geometry import Transform, Vec2
 from repro.sim.physics import VehicleControl
@@ -101,7 +101,8 @@ class TestExpert:
         route = planner.plan(scn_wet.mission.start.position, scn_wet.mission.goal,
                              start_yaw=scn_wet.mission.start.yaw)
         expert = Expert(handles.world, route, cfg)
-        target = expert._target_speed()
+        station, _ = route.locate(handles.world.ego.position)
+        target = expert._target_speed(station, route.command_at_station(station))
         assert target < 8.0
 
 
@@ -172,6 +173,35 @@ class TestNNAgent:
         if agent.route.off_route(far_point, 5.0):
             agent.step(_fake_frame(far_point, heading=0.0))
             assert agent.replans == 1
+
+    def test_observe_locates_once_as_step_located_twice(self, handles):
+        """``observe`` locates the GPS fix once (twice after a replan);
+        its command must be the one the historical ``off_route`` +
+        ``command_at`` pair gave, replans included."""
+        model = ILCNN(TINY_MODEL_CFG)
+        mission = _scenario(seed=31).mission
+        agent = NNAgent(model, handles.town, replan_tolerance=5.0)
+        legacy = NNAgent(model, handles.town, replan_tolerance=5.0)
+        agent.reset(mission)
+        legacy.reset(mission)
+        points = [
+            lane.centerline.point_at(lane.length * f)
+            for road in list(handles.town.roads.values())[:8]
+            for lane in (road.lane(+1), road.lane(-1))
+            for f in (0.2, 0.7)
+        ]
+        for point in points:
+            frame = _fake_frame(point, heading=0.5)
+            if legacy.route.off_route(point, legacy.replan_tolerance):
+                try:
+                    legacy.route = legacy.planner.plan(point, mission.goal, start_yaw=0.5)
+                    legacy.replans += 1
+                except PlanningError:
+                    pass
+            observation = agent.observe(frame)
+            assert observation.command == int(legacy.route.command_at(point))
+            assert agent.replans == legacy.replans
+        assert agent.replans > 0
 
 
 class TestFactories:

@@ -13,16 +13,25 @@ The SHA-256 digests below were captured from the ``np.pad`` im2col,
 
 The digests hold for this numpy/OpenBLAS build; BLAS kernels on other
 CPUs may round differently.
+
+The property tests hold the batch-invariance guarantee the episode
+multiplexer relies on: in inference mode every row of a batched
+forward pass equals, bit for bit, the reference forward over that
+sample alone, and the camera pooling equals ``mean`` at every integer
+factor.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from ilcnn_reference import reference_forward, reference_preprocess
 
 from repro.agent import nn_agent_factory
@@ -145,3 +154,87 @@ class TestReferenceAgreement:
             out = model.forward(x[None], np.array([4.5]), np.array([command]))
             ref = reference_forward(model, x[None], np.array([4.5]), np.array([command]))
             assert out.tobytes() == ref.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def inference_model(config: str, seed: int) -> ILCNN:
+    base = TINY if config == "tiny" else ILCNNConfig()
+    model = ILCNN(replace(base, seed=seed))
+    model.set_training(False)
+    return model
+
+
+#: Values a corrupted image or speed may carry besides ordinary ones.
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 3.0e38, -1.0e30, 1.0e-42]
+
+
+def corrupt(gen: np.random.Generator, values: np.ndarray, share: float) -> np.ndarray:
+    mask = gen.random(values.shape) < share
+    values[mask] = gen.choice(SPECIAL, size=int(mask.sum()))
+    return values
+
+
+class TestBatchInvariance:
+    @given(
+        config=st.sampled_from(["tiny", "default"]),
+        weight_seed=st.integers(0, 2),
+        commands=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+        data_seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.0, 0.01, 0.2]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_batched_rows_equal_single_reference(
+        self, config, weight_seed, commands, data_seed, share
+    ):
+        model = inference_model(config, weight_seed)
+        gen = np.random.default_rng(data_seed)
+        n = len(commands)
+        h, w = model.config.input_hw
+        images = corrupt(gen, gen.random((n, 3, h, w)).astype(np.float32), share)
+        speeds = corrupt(gen, gen.uniform(-5.0, 40.0, n), share)
+        with np.errstate(all="ignore"):  # non-finite inputs are the point
+            batched = model.forward(images, speeds, np.array(commands))
+            for i, command in enumerate(commands):
+                alone = reference_forward(
+                    model, images[i : i + 1], speeds[i : i + 1], np.array([command])
+                )
+                assert batched[i].tobytes() == alone[0].tobytes(), (i, commands)
+
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_every_branch_in_one_batch(self, config):
+        model = inference_model(config, 0)
+        gen = np.random.default_rng(1)
+        images = gen.random((8, 3, *model.config.input_hw)).astype(np.float32)
+        speeds = gen.uniform(0.0, 10.0, 8)
+        commands = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+        batched = model.forward(images, speeds, commands)
+        for i in range(8):
+            row = (images[i : i + 1], speeds[i : i + 1], commands[i : i + 1])
+            alone = model.forward(*row)
+            assert batched[i].tobytes() == alone[0].tobytes()
+            assert alone.tobytes() == reference_forward(model, *row).tobytes()
+
+    @given(
+        fy=st.integers(1, 9),
+        fx=st.integers(1, 9),
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+        data_seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_pooling_equals_mean(self, fy, fx, h, w, dtype, data_seed, share):
+        gen = np.random.default_rng(data_seed)
+        shape = (h * fy, w * fx, 3)
+        if dtype is np.uint8:
+            image = gen.integers(0, 256, shape, dtype=np.uint8)
+        else:
+            scale = 10.0 ** gen.integers(-3, 40)
+            image = corrupt(gen, gen.standard_normal(shape) * scale, share).astype(dtype)
+        before = image.copy()
+        with np.errstate(all="ignore"):  # non-finite inputs are the point
+            pooled = preprocess_image(image, (h, w))
+            expected = reference_preprocess(image, (h, w))
+        assert image.tobytes() == before.tobytes()  # the frame is not touched
+        assert pooled.tobytes() == expected.tobytes()

@@ -151,6 +151,83 @@ class TestMultiplexedByteIdentity:
         ).run()
         assert_records_equal(serial, mux)
 
+    def test_training_mode_dropout_model_is_identical_on_every_backend(
+        self, builder, scenarios
+    ):
+        """A freshly built model is in training mode; its Dropout draws
+        from one RNG shared by every episode, so unless the factory puts
+        it in inference mode an episode's records depend on which
+        episodes ran before it (serial and multiplexed differed)."""
+        def run(**execution):
+            model = ILCNN(replace(TINY, dropout=0.5))
+            assert model.join.modules[-1].training
+            injectors_nn = {"none": [], "gps": [GPSNoiseFault(sigma_m=4.0)]}
+            return Campaign(
+                scenarios, nn_agent_factory(model), injectors_nn,
+                builder=builder, base_seed=5, **execution,
+            ).run()
+
+        serial = run()
+        assert_records_equal(serial, run(backend="multiplexed", episodes_per_slot=4))
+        assert_records_equal(serial, run(workers=2))
+
+    def test_failed_batched_predict_reruns_serially(
+        self, builder, scenarios, monkeypatch
+    ):
+        """A batched forward that raises breaks every episode of its
+        batch; each re-runs on the serial path and still matches."""
+        from repro.agent.agents import NNAgent
+
+        model = ILCNN(TINY)
+        serial = Campaign(
+            scenarios[:2], nn_agent_factory(model), {"none": []},
+            builder=builder, base_seed=3,
+        ).run()
+        batch_sizes = []
+        single_predict = NNAgent.predict
+
+        def predict(agent, observations):
+            batch_sizes.append(len(observations))
+            if len(observations) > 1:
+                raise FloatingPointError("batched forward failed")
+            return single_predict(agent, observations)
+
+        monkeypatch.setattr(NNAgent, "predict", predict)
+        mux = Campaign(
+            scenarios[:2], nn_agent_factory(model), {"none": []},
+            builder=builder, base_seed=3, backend="multiplexed",
+            episodes_per_slot=4,
+        ).run()
+        assert batch_sizes[0] == 2
+        assert_records_equal(serial, mux)
+
+    def test_episodes_batch_only_with_their_own_model(self, builder, scenarios):
+        """Live episodes driving different models must each be scored
+        by their own model, never batched into another's forward."""
+        from repro.agent.agents import NNAgent
+
+        models = [ILCNN(replace(TINY, seed=seed)) for seed in (1, 2, 3)]
+        for model in models:
+            model.set_training(False)
+
+        def factory(handles, mission):
+            # One model per scenario: scenarios differ in start position.
+            x = mission.start.position.x
+            which = sum(s.mission.start.position.x < x for s in scenarios)
+            agent = NNAgent(models[which], handles.town)
+            agent.reset(mission)
+            return agent
+
+        injectors_nn = {"none": [], "gps": [GPSNoiseFault(sigma_m=4.0)]}
+        serial = Campaign(
+            scenarios, factory, injectors_nn, builder=builder, base_seed=3,
+        ).run()
+        mux = Campaign(
+            scenarios, factory, injectors_nn, builder=builder, base_seed=3,
+            backend="multiplexed", episodes_per_slot=6,
+        ).run()
+        assert_records_equal(serial, mux)
+
     def test_process_workers_drain_multiplexed_slots(self, builder, scenarios):
         serial = Campaign(
             scenarios, AutopilotAgentFactory(), injectors(),
